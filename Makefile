@@ -5,7 +5,7 @@ export PYTHONPATH
 
 .PHONY: test lint bench bench-kernel bench-plan bench-recovery \
 	bench-profile bench-parallel bench-batch bench-views bench-rescale \
-	chaos fuzz fuzz-quick
+	chaos fuzz fuzz-quick perfbench
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -68,6 +68,19 @@ bench-rescale:
 # Every headline benchmark, each writing its BENCH_*.json.
 bench: bench-kernel bench-plan bench-recovery bench-profile \
 	bench-parallel bench-batch bench-views bench-rescale
+
+# The repository benchmark: every workload in BENCHMARK.json through
+# perfbench/run.py at its run_seconds; the last stdout line of each run
+# is its JSON report.
+SEED ?= 1
+
+perfbench:
+	@$(PYTHON) -c 'import json; spec = json.load(open("BENCHMARK.json")); \
+	print("\n".join(w["name"] + " " + str(spec["run_seconds"]) \
+	for w in spec["workloads"]))' | while read -r workload seconds; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(SEED) \
+			--seconds $$seconds --trace 0 || exit 1; \
+	done
 
 # Standing fault-injection campaign: kernel crash matrix over random
 # queries plus seeded broker drop/dup/reorder chaos.

@@ -549,8 +549,9 @@ class DSMSEngine:
 
         The view's FROM source may name a registered *stream*: the engine
         then materialises the stream into a views base table (every
-        ingested tuple commits as a CDC insert at its event time) and the
-        view refreshes through the engine's time hooks.  Sources already
+        ingested tuple commits as a CDC insert at its event time, or at
+        the next version a view has not yet refreshed to) and the view
+        refreshes through the engine's time hooks.  Sources already
         known to the view service (base tables created via
         ``engine.views.create_table`` or other dynamic tables) are used
         as-is.  Returns the installed
@@ -739,7 +740,8 @@ class DSMSEngine:
         """Offer one (validated) arrival to every reading unit."""
         if stream_name in self._view_fed:
             # Views run on the engine's clock, which only moves forward:
-            # a late arrival commits at the current version.
+            # a late arrival commits at the current version, or the next
+            # one when a view has already refreshed to it (see apply()).
             self.views.apply(stream_name, inserts=[record],
                              at=max(t, self.views.clock))
         if obs._STATE.enabled:

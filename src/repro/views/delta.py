@@ -10,7 +10,9 @@ pull exactly the slice ``(their version, target version]`` to catch up.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.errors import StateError
@@ -61,9 +63,17 @@ def apply_deltas(bag: Bag, deltas: Iterable[Delta]) -> None:
 
 
 class Changelog:
-    """An append-only, version-stamped log of committed deltas."""
+    """An append-only, version-stamped log of committed deltas.
+
+    Reclaimed history lives in the *head*: one netted ``row -> weight``
+    map that stands for a single batch stamped at version 0.  Live
+    entries stay as ``(version, batch)`` pairs in version order, so
+    compaction folds only the entries it reclaims and a slice is found
+    by bisection — both cost what they touch, not what the log holds.
+    """
 
     def __init__(self) -> None:
+        self._head: dict[Record, int] = {}
         self._versions: list[int] = []
         self._batches: list[tuple[Delta, ...]] = []
 
@@ -72,63 +82,77 @@ class Changelog:
         batch = tuple(deltas)
         if not batch:
             return
-        if self._versions and version < self._versions[-1]:
+        latest = self.latest_version()
+        if latest is not None and version < latest:
             raise StateError(
                 f"changelog versions must not decrease: {version} after "
-                f"{self._versions[-1]}")
+                f"{latest}")
         self._versions.append(version)
         self._batches.append(batch)
 
     def between(self, after: int, upto: int) -> list[Delta]:
         """All deltas committed at versions in ``(after, upto]``."""
-        out: list[Delta] = []
-        for version, batch in zip(self._versions, self._batches):
-            if after < version <= upto:
-                out.extend(batch)
+        out = self._head_batch() if after < 0 <= upto else []
+        lo = bisect_right(self._versions, after)
+        for batch in self._batches[lo:bisect_right(self._versions, upto)]:
+            out.extend(batch)
         return out
 
     def latest_version(self) -> int | None:
-        return self._versions[-1] if self._versions else None
+        if self._versions:
+            return self._versions[-1]
+        return 0 if self._head else None
 
     def entries(self) -> Iterator[tuple[int, tuple[Delta, ...]]]:
-        return iter(zip(self._versions, self._batches))
+        head = [(0, tuple(self._head_batch()))] if self._head else []
+        return chain(head, zip(self._versions, self._batches))
 
     def __len__(self) -> int:
-        return len(self._versions)
+        return len(self._versions) + bool(self._head)
 
     def gc(self, below: int) -> int:
-        """Compact entries committed at versions ``<= below`` into one
-        netted batch stamped at version 0; returns entries reclaimed.
+        """Compact entries committed at versions ``<= below`` into the
+        netted version-0 head; returns entries reclaimed.
 
         Safe when every attached consumer has consumed past ``below``: a
         consumer at version ``v >= below`` only ever pulls ``(v, ...]``,
         which excludes version 0.  A consumer attached *later* starts at
-        version -1 and pulls ``(-1, clock]`` — the compacted batch nets
-        all reclaimed history (including any version-0 priming batch), so
-        full replay still reconstructs the exact current contents.  That
-        is why reclaimed history is netted and kept at version 0 rather
-        than dropped.
+        version -1 and pulls ``(-1, clock]`` — the head nets all reclaimed
+        history (including any version-0 priming batch), so full replay
+        still reconstructs the exact current contents.  That is why
+        reclaimed history is netted and kept at version 0 rather than
+        dropped.  Only the reclaimed entries are read: the cost is
+        O(reclaimed deltas), whatever the head holds.
         """
-        from bisect import bisect_right
-
         cut = bisect_right(self._versions, below)
-        if cut <= 1:
+        had_head = bool(self._head)
+        if cut + had_head <= 1:
             return 0
-        merged = net(delta for batch in self._batches[:cut]
-                     for delta in batch)
-        head_versions = [0] if merged else []
-        head_batches = [tuple(merged)] if merged else []
-        reclaimed = cut - len(head_versions)
-        self._versions = head_versions + self._versions[cut:]
-        self._batches = head_batches + self._batches[cut:]
-        return reclaimed
+        head = self._head
+        for batch in self._batches[:cut]:
+            for delta in batch:
+                weight = head.get(delta.row, 0) + delta.weight
+                if weight:
+                    head[delta.row] = weight
+                else:
+                    del head[delta.row]
+        del self._versions[:cut]
+        del self._batches[:cut]
+        return cut + had_head - bool(head)
+
+    def _head_batch(self) -> list[Delta]:
+        return [Delta(row, weight) for row, weight in self._head.items()]
 
     # -- checkpointing --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {"versions": list(self._versions),
-                "batches": list(self._batches)}
+        entries = list(self.entries())
+        return {"versions": [version for version, _ in entries],
+                "batches": [batch for _, batch in entries]}
 
     def restore(self, state: dict) -> None:
+        # A version-0 batch restores as a live entry; the next gc folds
+        # it back into the head.
+        self._head = {}
         self._versions = list(state["versions"])
         self._batches = list(state["batches"])

@@ -205,7 +205,10 @@ class DynamicTableService:
         """Commit a batch of inserts/deletes; returns the commit version.
 
         The commit version is ``at`` when given (must not precede the
-        clock) or the current clock; the service clock advances to it.
+        clock) or the current clock — moved past the newest version any
+        view reading the table has refreshed to, since that view pulls
+        only later versions and would never see the rows.  The service
+        clock advances to the commit version.
         """
         table = self._tables.get(name)
         if table is None:
@@ -216,6 +219,9 @@ class DynamicTableService:
         if version < self.clock:
             raise StateError(f"commit at version {version} precedes the "
                              f"service clock {self.clock}")
+        consumed = max((view.version for view in self._views.values()
+                        if name in view.sources), default=-1)
+        version = max(version, consumed + 1)
         deltas = [Delta(table.coerce(row), 1) for row in inserts]
         deltas += [Delta(table.coerce(row), -1) for row in deletes]
         netted = net(deltas)
@@ -309,10 +315,10 @@ class DynamicTableService:
         Each source's low-water mark is the minimum consumed version
         across the views reading it (a suspended consumer holds the mark
         down, so its catch-up slice survives); a source with no consumers
-        uses the clock.  Entries at or below the mark are netted into one
-        version-0 batch (see :meth:`Changelog.gc`), which keeps the
-        primed-replay invariant for views attached later.  Returns the
-        entries reclaimed per table/view name.
+        uses the clock.  Entries at or below the mark are folded into the
+        log's netted version-0 head (see :meth:`Changelog.gc`), which
+        keeps the primed-replay invariant for views attached later.
+        Returns the entries reclaimed per table/view name.
         """
         marks: dict[str, int] = {}
         for view in self._views.values():

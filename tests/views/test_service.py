@@ -222,6 +222,48 @@ class TestVersionedReads:
             service.read("orders", version=0)
 
 
+class TestLateCommits:
+    """A commit at a version a view has already refreshed to must still
+    reach it: the view pulls only later versions."""
+
+    def build(self):
+        service = make_service()
+        service.execute(
+            "CREATE DYNAMIC TABLE totals TARGET_LAG = 0 AS "
+            "SELECT region, SUM(amount) AS total FROM orders "
+            "GROUP BY region EMIT CHANGES")
+        service.apply("orders", inserts=[{"region": "eu", "amount": 5}],
+                      at=1)
+        service.tick(1)
+        assert service.view("totals").version == service.clock == 1
+        return service
+
+    def test_default_version_commit_then_tick_shows_the_row(self):
+        service = self.build()
+        version = service.apply("orders",
+                                inserts=[{"region": "eu", "amount": 2}])
+        assert version == 2 and service.clock == 2
+        service.tick()
+        assert totals(service) == {"eu": 7}
+
+    def test_explicit_consumed_version_moves_to_the_next(self):
+        service = self.build()
+        assert service.apply("orders",
+                             inserts=[{"region": "us", "amount": 3}],
+                             at=1) == 2
+        service.refresh("totals")
+        assert totals(service) == {"eu": 5, "us": 3}
+
+    def test_unconsumed_version_is_kept(self):
+        service = self.build()
+        assert service.apply("orders",
+                             inserts=[{"region": "us", "amount": 3}],
+                             at=4) == 4
+        # A table no view reads keeps the clock version.
+        service.create_table("other", Schema(["x"]))
+        assert service.apply("other", inserts=[{"x": 1}]) == 4
+
+
 class TestErrors:
     def test_unknown_table(self):
         with pytest.raises(StateError):
