@@ -8,8 +8,14 @@ over the standard room-observation workload with one injected operator
 crash mid-stream, once per checkpoint interval.  The sweep must show the
 trend both ways — replay volume grows with the interval, checkpoints
 taken shrink — and every recovered run must equal the fault-free one.
-Results land in ``BENCH_recovery.json``.
+
+A soak then runs a steady DSMS workload with checkpointing on and reads
+the newest checkpoint's size at 250, 500 and 1000 instants: checkpoints
+hold live state and history marks, so their size must not grow with run
+length.  Results land in ``BENCH_recovery.json``.
 """
+
+import time
 
 from repro.bench import (
     ExperimentTable,
@@ -23,6 +29,7 @@ from repro.chaos import CrashFuse, RecoveryManager, install_crash, \
     run_query_with_recovery
 from repro.core import Stream
 from repro.cql import CQLEngine
+from repro.dsms import DSMSEngine
 
 ROWS = room_observations(400)
 STREAM = Stream.of_records(OBSERVATION_SCHEMA, ROWS)
@@ -32,6 +39,20 @@ INTERVALS = (1, 4, 16)
 CRASH_POSITION = 1
 #: Fire deep into the stream so every interval has checkpoints behind it.
 CRASH_AT = 600
+
+
+#: Soak: the dsms-recovery queries, five arrivals per instant, a
+#: checkpoint every ten instants, sizes read at these instants.
+SOAK_QUERIES = [
+    "SELECT ISTREAM room, COUNT(*) AS n FROM Obs [Range 10] GROUP BY room",
+    "SELECT ISTREAM id, temp FROM Obs [Range 5] WHERE temp > 30",
+]
+SOAK_PER_INSTANT = 5
+SOAK_MARKS = (250, 500, 1000)
+#: The newest checkpoint at the last mark may be at most this much larger
+#: than at the first (live state fluctuates a little; history must not
+#: show up at all).
+SOAK_GROWTH_BOUND = 1.1
 
 
 def fresh_query():
@@ -55,6 +76,31 @@ def crashed_run(interval):
         lambda: run_query_with_recovery(query, {"Obs": STREAM}, manager))
     assert fuse.fired == 1, "the crash must actually fire"
     return query, manager, elapsed
+
+
+def soak():
+    """Checkpoint size and cost against run length on a steady DSMS."""
+    engine = DSMSEngine(recovery_interval=10 * SOAK_PER_INSTANT)
+    engine.register_stream("Obs", OBSERVATION_SCHEMA)
+    for index, text in enumerate(SOAK_QUERIES):
+        engine.register_query(f"q{index}", text)
+    rows = room_observations(SOAK_MARKS[-1] * SOAK_PER_INSTANT, mean_gap=1)
+    table = ExperimentTable(
+        "Checkpoint size vs run length (steady DSMS, checkpoint every "
+        "10 instants)",
+        ["instants", "last_checkpoint_bytes", "checkpoints_taken",
+         "checkpoint_bytes_total", "run_seconds"])
+    started = time.perf_counter()
+    for t in range(1, SOAK_MARKS[-1] + 1):
+        for row, _ in rows[(t - 1) * SOAK_PER_INSTANT:t * SOAK_PER_INSTANT]:
+            engine.ingest("Obs", row, t)
+        engine.run_until_idle()
+        if t in SOAK_MARKS:
+            latest = engine.recovery.latest()
+            table.add_row(t, latest.size_bytes, latest.checkpoint_id,
+                          engine.recovery.checkpoint_bytes,
+                          time.perf_counter() - started)
+    return table
 
 
 def test_bench_recovery_writes_json():
@@ -89,8 +135,16 @@ def test_bench_recovery_writes_json():
     assert replays[0] < replays[-1], \
         f"sweep shows no replay trend: {replays}"
 
+    soak_table = soak()
+    soak_table.show()
+    sizes = soak_table.column("last_checkpoint_bytes")
+    assert sizes[-1] <= SOAK_GROWTH_BOUND * sizes[0], \
+        f"checkpoint size grows with run length: {sizes}"
+
     payload = bench_result(
         "recovery", table,
         events=len(ROWS), query=QUERY, intervals=list(INTERVALS),
-        crash_position=CRASH_POSITION, crash_at=CRASH_AT)
+        crash_position=CRASH_POSITION, crash_at=CRASH_AT,
+        soak=soak_table.as_dict(), soak_queries=SOAK_QUERIES,
+        soak_growth_bound=SOAK_GROWTH_BOUND)
     write_bench_json(payload)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import time
 from collections import Counter, defaultdict, deque
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -977,6 +978,36 @@ class Emission(NamedTuple):
     timestamp: Timestamp
 
 
+#: Identifies the query whose history a snapshot's marks index, so a
+#: restore can tell its own snapshot (truncate) from a foreign one.
+_HISTORY_OWNERS = itertools.count(1)
+
+
+def fold_log(log: Sequence[tuple[Timestamp, Mapping[Record, int]]],
+             schema: Schema | None = None) -> TimeVaryingRelation:
+    """Fold a change-log of per-instant net deltas into a relation.
+
+    Same-instant entries (a DSMS servicing one tuple at a time logs
+    several at one timestamp) are folded together first and only the
+    state after the last one is the relation's value there.  Collapsing
+    must happen *before* feeding ``set_at``, because ``set_at`` coalesces
+    no-op states — popping its tail entry to overwrite could otherwise
+    remove an earlier instant's state.
+    """
+    relation = TimeVaryingRelation(schema=schema)
+    state: dict[Record, int] = {}
+    for index, (t, delta) in enumerate(log):
+        for record, mult in delta.items():
+            count = state.get(record, 0) + mult
+            if count:
+                state[record] = count
+            else:
+                state.pop(record, None)
+        if index + 1 == len(log) or log[index + 1][0] != t:
+            relation.set_at(t, Bag.from_counts(state))
+    return relation
+
+
 class ContinuousQuery:
     """A registered continuous query: compiled once, runs until cancelled.
 
@@ -1008,8 +1039,12 @@ class ContinuousQuery:
             from repro.cql.kernel import QueryKernel
             self._kernel = QueryKernel(self._root)
         self._state = Bag()
-        self._log: list[tuple[Timestamp, Bag]] = []
+        #: History: each logged instant's net delta, and every emission.
+        #: Both only grow, except that a restore truncates them back to a
+        #: snapshot's marks.
+        self._log: list[tuple[Timestamp, Counter]] = []
         self._emissions: list[Emission] = []
+        self._history_id = next(_HISTORY_OWNERS)
         #: Emissions produced by group instants another member triggered,
         #: waiting to be returned from this member's next feeding call.
         self._undelivered: list[Emission] = []
@@ -1116,12 +1151,15 @@ class ContinuousQuery:
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A consistent checkpoint of the whole query: every operator's
-        state, the agenda, and the driver's maintained relation/log.
+        """A consistent checkpoint of the query: every operator's state,
+        the agenda, the maintained relation, and history marks.
 
         Taken between instants (never mid-batch), the snapshot plus the
         input suffix replayed from the same point reproduces the fault-free
         run exactly — the property the kernel-crashed difftest leg checks.
+        The change-log and emissions are delivered output that only grows,
+        so the snapshot records their lengths, not their contents: its
+        size follows live state, not uptime.
         Shared-group members cannot snapshot independently: their operator
         state interleaves with other members'.
         """
@@ -1132,8 +1170,8 @@ class ContinuousQuery:
             "operators": [op.snapshot() for _, op in self.operators()],
             "agenda": self._agenda.snapshot(),
             "state": self._state.copy(),
-            "log": list(self._log),
-            "emissions": list(self._emissions),
+            "history": (self._history_id, len(self._log),
+                        len(self._emissions)),
             "undelivered": list(self._undelivered),
             "last_instant": self._last_instant,
             "deltas_processed": self._deltas_processed,
@@ -1146,6 +1184,12 @@ class ContinuousQuery:
         reused; only mutable state is overwritten.  Any partially
         processed instant left over from a crash — staged arrivals,
         buffered kernel batches — is discarded wholesale.
+
+        A snapshot of this query truncates the change-log and emissions
+        back to its marks.  A snapshot of another query restores its
+        operator state and current relation only: this query's history
+        then starts at the restore point, one log entry holding that
+        relation and no emissions.
         """
         if self._shared is not None:
             raise StateError(
@@ -1156,14 +1200,26 @@ class ContinuousQuery:
             raise StateError(
                 f"snapshot shape mismatch: {len(states)} operator states "
                 f"for {len(ops)} operators")
+        owner, logged, emitted = payload["history"]
+        own = owner == self._history_id
+        if own and (logged > len(self._log)
+                    or emitted > len(self._emissions)):
+            raise StateError(
+                "snapshot is newer than this query's history: it was "
+                "already rolled back past the snapshot")
         for (_, op), state in zip(ops, states):
             op.restore(state)
         self._agenda.restore(payload["agenda"])
         self._state = payload["state"].copy()
-        self._log = list(payload["log"])
-        self._emissions = list(payload["emissions"])
-        self._undelivered = list(payload["undelivered"])
         self._last_instant = payload["last_instant"]
+        if own:
+            del self._log[logged:]
+            del self._emissions[emitted:]
+        else:
+            self._log = ([(self._last_instant, Counter(dict(
+                self._state.items())))] if self._state.support_size else [])
+            self._emissions = []
+        self._undelivered = list(payload["undelivered"])
         self._deltas_processed = payload["deltas_processed"]
         if self._kernel is not None:
             # A crash can strand half-delivered batches inside the kernel
@@ -1216,6 +1272,9 @@ class ContinuousQuery:
                        deltas: list[Delta]) -> list[Emission]:
         """Fold one instant's root deltas into state, log and emissions.
 
+        The log keeps the instant's net delta, so its cost follows the
+        change, not the state size.
+
         Split from :meth:`_process_instant` so a shared group's kernel can
         evaluate all member plans in one pass and hand each member its own
         root batch.
@@ -1238,7 +1297,7 @@ class ContinuousQuery:
                 if removed != -mult:
                     raise StateError(
                         f"retraction of absent record {record!r}")
-        self._log.append((t, self._state.copy()))
+        self._log.append((t, net))
         emitted: list[Emission] = []
         if self.r2s is R2SKind.ISTREAM:
             emitted = [Emission(r, t) for r, m in net.items() if m > 0
@@ -1275,22 +1334,9 @@ class ContinuousQuery:
         return out
 
     def as_relation(self) -> TimeVaryingRelation:
-        """The maintained state's change-log as a time-varying relation.
-
-        Same-instant batches (e.g. a DSMS servicing one tuple at a time)
-        append several log entries at one timestamp; only the last state per
-        instant is the relation's value there.  Collapsing must happen
-        *before* feeding ``set_at``, because ``set_at`` coalesces no-op
-        states — popping its tail entry to overwrite could otherwise remove
-        an earlier instant's state.
-        """
-        relation = TimeVaryingRelation(schema=self.output_schema)
-        last_per_instant: dict[Timestamp, Bag] = {}
-        for t, bag in self._log:
-            last_per_instant[t] = bag
-        for t, bag in last_per_instant.items():
-            relation.set_at(t, bag)
-        return relation
+        """The maintained state's change-log as a time-varying relation
+        (see :func:`fold_log`)."""
+        return fold_log(self._log, self.output_schema)
 
     @property
     def deltas_processed(self) -> int:

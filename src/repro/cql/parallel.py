@@ -33,8 +33,7 @@ replica where :class:`ContinuousQuery` exposes one total.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.errors import PlanError, StateError
@@ -46,7 +45,7 @@ from repro.core.time import Timestamp
 from repro.plan.ir import LogicalOp
 from repro.plan.parallel import PartitionScheme, partition_scheme
 from repro.cql.catalog import Catalog
-from repro.cql.executor import ContinuousQuery, Emission
+from repro.cql.executor import ContinuousQuery, Emission, fold_log
 from repro.runtime.broker import default_hash
 
 __all__ = ["PartitionedQuery"]
@@ -164,13 +163,21 @@ class PartitionedQuery:
         for replica, mark in zip(self._replicas, marks):
             active.update(t for t, _ in replica._log[mark:])
         for replica, mark, out in zip(self._replicas, marks, produced):
-            logged = {t for t, _ in replica._log[mark:]}
-            times = [t for t, _ in replica._log]
-            for t in sorted(active - logged):
-                position = bisect_right(times, t)
-                if position == 0:
-                    continue  # no state yet at this instant
-                _, state = replica._log[position - 1]
+            new = replica._log[mark:]
+            quiet = sorted(active - {t for t, _ in new})
+            if not quiet:
+                continue
+            # Roll the replica's state back over this call's deltas, then
+            # forward again, re-emitting the state in force at each
+            # instant the replica stayed quiet at.
+            state = Counter(dict(replica._state.items()))
+            for _, delta in new:
+                state.subtract(delta)
+            position = 0
+            for t in quiet:
+                while position < len(new) and new[position][0] <= t:
+                    state.update(new[position][1])
+                    position += 1
                 synthesized = [Emission(record, t)
                                for record, mult in state.items()
                                for _ in range(mult)]
@@ -269,46 +276,23 @@ class PartitionedQuery:
                 out.append(record, t)
         return out
 
-    def _merged_log(self) -> list[tuple[Timestamp, Bag]]:
-        """The global change-log: at every instant any replica logged,
-        the union of each replica's latest state at or before it."""
-        logs: list[dict[Timestamp, Bag]] = []
-        instants: set[Timestamp] = set()
-        for replica in self._replicas:
-            last_per_instant: dict[Timestamp, Bag] = {}
-            for t, bag in replica._log:
-                last_per_instant[t] = bag
-            logs.append(last_per_instant)
-            instants.update(last_per_instant)
-        cursors = [sorted(log) for log in logs]
-        positions = [0] * len(logs)
-        latest: list[Bag | None] = [None] * len(logs)
-        merged_log: list[tuple[Timestamp, Bag]] = []
-        for t in sorted(instants):
-            merged = Bag()
-            for i, log in enumerate(logs):
-                times = cursors[i]
-                while positions[i] < len(times) and times[positions[i]] <= t:
-                    latest[i] = log[times[positions[i]]]
-                    positions[i] += 1
-                if latest[i] is not None:
-                    for record, mult in latest[i].items():
-                        merged.add(record, mult)
-            merged_log.append((t, merged))
-        return merged_log
+    def _merged_log(self) -> list[tuple[Timestamp, Counter]]:
+        """The global change-log: every replica's net deltas in instant
+        order.  The global state is the sum of the replica states, so it
+        is also the fold of all their deltas."""
+        return sorted((entry for replica in self._replicas
+                       for entry in replica._log),
+                      key=lambda entry: entry[0])
 
     @property
-    def _log(self) -> list[tuple[Timestamp, Bag]]:
+    def _log(self) -> list[tuple[Timestamp, Counter]]:
         """Merged change-log, same shape as ``ContinuousQuery._log``
         (computed on demand — the replicas own the authoritative logs)."""
         return self._merged_log()
 
     def as_relation(self) -> TimeVaryingRelation:
         """The merged change-log as a time-varying relation."""
-        relation = TimeVaryingRelation(schema=self.output_schema)
-        for t, bag in self._merged_log():
-            relation.set_at(t, bag)
-        return relation
+        return fold_log(self._merged_log(), self.output_schema)
 
     @property
     def deltas_processed(self) -> int:

@@ -24,10 +24,11 @@ The mutants cover the bug classes named by the issue:
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from typing import Callable, Iterator
 
 from repro.core import windows as core_windows
-from repro.core.relation import TimeVaryingRelation
+from repro.core.relation import Bag, TimeVaryingRelation
 from repro.cql import executor as cql_executor
 from repro.cql.ast import WindowSpecKind
 
@@ -123,17 +124,21 @@ def sliding_expiry_capped() -> Iterator[None]:
 
 @contextlib.contextmanager
 def state_log_coalesce() -> Iterator[None]:
-    """Reintroduce the as_relation tail-pop corruption."""
+    """Reintroduce the as_relation tail-pop corruption: fold the delta
+    log entry by entry, popping the relation's tail to overwrite a
+    same-instant state after ``set_at`` may already have coalesced it."""
     original = cql_executor.ContinuousQuery.as_relation
 
     def mutated(self):
         relation = TimeVaryingRelation(schema=self.output_schema)
+        state: Counter = Counter()
         last_t = None
-        for t, bag in self._log:
+        for t, delta in self._log:
+            state.update(delta)
             if t == last_t:
                 relation._times.pop()
                 relation._states.pop()
-            relation.set_at(t, bag)
+            relation.set_at(t, Bag.from_counts(+state))
             last_t = t
         return relation
 

@@ -11,23 +11,31 @@ realisation wired into the DSMS engine.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterator, Protocol
 
+from repro.core.errors import StateError
 from repro.core.relation import Bag, TimeVaryingRelation
 from repro.core.time import Timestamp
+
+#: Identifies the Store whose histories a snapshot's marks index.
+_HISTORY_OWNERS = itertools.count(1)
 
 
 class Store:
     """Persistent result storage: one time-varying relation per query.
 
     The Store is what a client reads when it asks a DSMS for "the current
-    answer" of a registered relation-producing query.
+    answer" of a registered relation-producing query.  Bags in the
+    history are never mutated once written, so the current answer shares
+    the newest one.
     """
 
     def __init__(self) -> None:
         self._relations: dict[str, TimeVaryingRelation] = {}
         self._current: dict[str, Bag] = {}
         self.writes = 0
+        self._history_id = next(_HISTORY_OWNERS)
 
     def register(self, name: str) -> None:
         self._relations[name] = TimeVaryingRelation()
@@ -36,12 +44,13 @@ class Store:
     def write(self, name: str, state: Bag, t: Timestamp) -> None:
         """Persist a query's new current state at instant ``t``."""
         relation = self._relations[name]
-        if relation.change_points() and relation.change_points()[-1] == t:
+        stored = state.copy()
+        if relation._times and relation._times[-1] == t:
             # Same-instant refinement: keep the latest state for t.
             relation._times.pop()
             relation._states.pop()
-        relation.set_at(t, state.copy(), coalesce=False)
-        self._current[name] = state.copy()
+        relation.set_at(t, stored, coalesce=False)
+        self._current[name] = stored
         self.writes += 1
 
     def current(self, name: str) -> Bag:
@@ -49,25 +58,46 @@ class Store:
         return self._current[name].copy()
 
     def snapshot(self) -> dict[str, Any]:
-        """Copy every stored relation's change-log (for checkpointing)."""
+        """History marks for checkpointing: each stored relation's length
+        and its newest ``(t, bag)`` entry, which a same-instant write
+        replaces in place."""
         relations: dict[str, Any] = {}
         for name, relation in self._relations.items():
             relations[name] = {
-                "times": list(relation._times),
-                "states": [bag.copy() for bag in relation._states],
-                "current": self._current[name].copy(),
+                "length": len(relation),
+                "tail": ((relation._times[-1], relation._states[-1])
+                         if len(relation) else None),
             }
-        return {"relations": relations, "writes": self.writes}
+        return {"owner": self._history_id, "relations": relations,
+                "writes": self.writes}
 
     def restore(self, payload: dict[str, Any]) -> None:
-        """Roll the Store back to a snapshot, in place."""
+        """Roll the Store back to a snapshot, in place.
+
+        A snapshot of this Store truncates each history back to its mark
+        and puts the tail entry back.  A snapshot of another Store
+        restores the current answers only: each history then starts at
+        the restore point with that answer.
+        """
+        own = payload["owner"] == self._history_id
         for name, entry in payload["relations"].items():
             if name not in self._relations:
                 self.register(name)
             relation = self._relations[name]
-            relation._times = list(entry["times"])
-            relation._states = [bag.copy() for bag in entry["states"]]
-            self._current[name] = entry["current"].copy()
+            tail = entry["tail"]
+            if own:
+                if entry["length"] > len(relation):
+                    raise StateError(
+                        f"snapshot is newer than the stored history of "
+                        f"{name!r}: it was already rolled back past it")
+                del relation._times[entry["length"]:]
+                del relation._states[entry["length"]:]
+                if tail is not None:
+                    relation._times[-1], relation._states[-1] = tail
+            else:
+                relation._times = [tail[0]] if tail is not None else []
+                relation._states = [tail[1]] if tail is not None else []
+            self._current[name] = tail[1] if tail is not None else Bag()
         self.writes = payload["writes"]
 
     def history(self, name: str) -> TimeVaryingRelation:

@@ -37,7 +37,7 @@ from repro.cql.executor import (
     PhysicalOp,
     StreamSourceOp,
 )
-from repro.dsms.components import Scratch, Store, Throw
+from repro.dsms.components import _HISTORY_OWNERS, Scratch, Store, Throw
 from repro.dsms.metrics import QueryMetrics
 from repro.dsms.queues import InputQueue
 from repro.dsms.scheduler import RoundRobinScheduler, Scheduler
@@ -101,6 +101,7 @@ class QueryHandle:
         #: runs with ``autoscale=`` (None otherwise / when ineligible).
         self.autoscaler = None
         self._emissions: list[Emission] = []
+        self._history_id = next(_HISTORY_OWNERS)
         self._ingest_seq = 0
         self._process_seq = 0
         store.register(name)
@@ -423,7 +424,11 @@ class DSMSEngine:
         #: scope.  Incompatible with plan sharing: a shared group's
         #: interleaved operator state has no per-query snapshot.
         self.recovery: "RecoveryManager | None" = None
+        #: Arrivals since the oldest retained checkpoint; the entries
+        #: before it are dropped, and ``_arrival_base`` counts them so
+        #: checkpoint offsets stay absolute.
         self._arrival_log: list[tuple] = []
+        self._arrival_base = 0
         #: Dynamic tables hosted alongside standing queries (§5.1's
         #: streaming-database pillar): the refresh scheduler runs inside
         #: the engine's time hooks — ``advance_time`` ticks the view
@@ -520,7 +525,8 @@ class DSMSEngine:
             # point.  Registration is expected at quiescence (queues
             # drained); queued arrivals are in the log and re-offered on
             # rollback anyway.
-            self.recovery.checkpoint(len(self._arrival_log))
+            self.recovery.checkpoint(self._arrival_offset)
+            self._trim_arrival_log()
         return handle
 
     def _register_shared(self, name: str, text: str) -> QueryHandle:
@@ -653,7 +659,8 @@ class DSMSEngine:
             # Old checkpoints hold the old replica shape; restoring one
             # into the rescaled query would fail (or worse, resurrect the
             # old width).  Move the recovery point past the migration.
-            self.recovery.rebase(len(self._arrival_log))
+            self.recovery.rebase(self._arrival_offset)
+            self._trim_arrival_log()
         if obs._STATE.enabled:
             obs.get_registry().counter(
                 "dsms.rescale.count", query=name).inc()
@@ -799,8 +806,22 @@ class DSMSEngine:
                 self._recover_and_replay()
                 continue
             steps += 1
-        self.recovery.committed(len(self._arrival_log))
+        if self.recovery.committed(self._arrival_offset) is not None:
+            self._trim_arrival_log()
         return steps
+
+    @property
+    def _arrival_offset(self) -> int:
+        """Arrivals logged so far, counting the trimmed ones."""
+        return self._arrival_base + len(self._arrival_log)
+
+    def _trim_arrival_log(self) -> None:
+        """Drop logged arrivals below the oldest retained checkpoint:
+        no recovery can replay from before it."""
+        oldest = self.recovery.checkpoints[0].offset
+        if oldest > self._arrival_base:
+            del self._arrival_log[:oldest - self._arrival_base]
+            self._arrival_base = oldest
 
     def _drain_settled(self, max_steps: int) -> int:
         """Drain the queues, then settle overdue dynamic tables and run
@@ -837,13 +858,15 @@ class DSMSEngine:
         at quiescent points (empty queues), and anything queued at crash
         time is re-offered from the arrival log during replay.  Metrics
         are telemetry, not state: they keep counting across rollbacks, so
-        recovery overhead (replayed work) stays visible.
+        recovery overhead (replayed work) stays visible.  Histories
+        (change-logs, emissions, stored answers) are recorded as marks,
+        so the checkpoint's size follows live state, not uptime.
         """
         handles: dict[str, Any] = {}
         for handle in self._handles:
             handles[handle.name] = {
                 "query": handle.query.snapshot(),
-                "emissions": list(handle._emissions),
+                "emitted": (handle._history_id, len(handle._emissions)),
                 "ingest_seq": handle._ingest_seq,
                 "process_seq": handle._process_seq,
             }
@@ -851,7 +874,12 @@ class DSMSEngine:
                 "views": self.views.snapshot()}
 
     def restore(self, payload: Mapping[str, Any]) -> None:
-        """Roll every query and the Store back to a checkpoint."""
+        """Roll every query and the Store back to a checkpoint.
+
+        Emissions are truncated back to the checkpoint's mark when the
+        handle took it; a handle restored from another handle's
+        checkpoint keeps no earlier emissions.
+        """
         for handle in self._handles:
             entry = payload["handles"].get(handle.name)
             if entry is None:
@@ -859,7 +887,11 @@ class DSMSEngine:
                     f"query {handle.name!r} was registered after the "
                     f"checkpoint being restored")
             handle.query.restore(entry["query"])
-            handle._emissions = list(entry["emissions"])
+            owner, emitted = entry["emitted"]
+            if owner == handle._history_id:
+                del handle._emissions[emitted:]
+            else:
+                handle._emissions = []
             handle._ingest_seq = entry["ingest_seq"]
             handle._process_seq = entry["process_seq"]
         self.store.restore(payload["store"])
@@ -880,7 +912,8 @@ class DSMSEngine:
         for unit in self._units:
             unit.queue.clear()
         replayed = 0
-        for entry in self._arrival_log[checkpoint.offset:]:
+        for entry in self._arrival_log[checkpoint.offset
+                                       - self._arrival_base:]:
             if entry[0] == "advance":
                 while self.step():
                     pass

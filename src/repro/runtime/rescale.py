@@ -32,8 +32,10 @@ volume actually moved.  :func:`rescale` does exactly that for a running
    state (group current-rows, join index products) pushed functionally
    through the stateless spine, and a conservation check pins the union
    of target states to the union of source states before anything is
-   swapped in.  The change-log is re-seeded so ``as_relation()`` still
-   reports the exact pre-rescale history.
+   swapped in.  Snapshots carry no history, so the change-log and
+   emissions are read from the live, quiescent old replicas and handed
+   to target 0: ``as_relation()`` still reports the exact pre-rescale
+   history.
 
 The migration never mutates the query until every payload has been
 built and verified; a failed rescale leaves the query running at its
@@ -135,6 +137,7 @@ def rescale(query: Any, parallelism: int) -> RescaleReport:
     for replica, ops, driver in zip(replicas, per_target_ops, payloads):
         driver["operators"] = ops
         replica.restore(driver)
+    migration.hand_over_history(template)
     migration.carry_accounting(query._replicas, replicas)
 
     instant = payloads[0]["last_instant"]
@@ -496,40 +499,46 @@ class _Migration:
 
         instant = max((snap["last_instant"] for snap in snaps
                        if snap["last_instant"] is not None), default=None)
-        merged_log = self.query._merged_log()
-        merged_emissions = sorted(
-            (emission for snap in snaps for emission in snap["emissions"]),
-            key=lambda emission: emission.timestamp)
         scheduled: set[Timestamp] = set()
         for snap in snaps:
             scheduled.update(snap["agenda"]["scheduled"])
 
-        payloads = []
-        for target, state in enumerate(states):
-            if instant is None:
-                log: list[tuple[Timestamp, Bag]] = []
-            elif target == 0:
-                # Target 0 carries the merged pre-rescale history; every
-                # target seeds its own share of the state at the migration
-                # instant, so the per-instant union — what as_relation()
-                # reports — is unchanged across the rescale.
-                log = [(t, bag) for t, bag in merged_log if t < instant]
-                log.append((instant, state))
-            else:
-                log = [(instant, state)]
-            payloads.append({
-                "agenda": {"heap": sorted(scheduled),
-                           "scheduled": set(scheduled)},
-                "state": state,
-                "log": log,
-                "emissions": list(merged_emissions) if target == 0 else [],
-                "undelivered": [],
-                "last_instant": instant,
-                "deltas_processed": sum(snap["deltas_processed"]
-                                        for snap in snaps)
-                if target == 0 else 0,
-            })
-        return payloads
+        return [{
+            "agenda": {"heap": sorted(scheduled),
+                       "scheduled": set(scheduled)},
+            "state": state,
+            # No query owns these marks: each target restores as a fresh
+            # query whose history starts at the migration instant.
+            "history": (None, 0, 0),
+            "undelivered": [],
+            "last_instant": instant,
+            "deltas_processed": sum(snap["deltas_processed"]
+                                    for snap in snaps)
+            if target == 0 else 0,
+        } for target, state in enumerate(states)]
+
+    def hand_over_history(self, target: Any) -> None:
+        """Give target 0 the pre-rescale history, read from the live,
+        quiescent old replicas.
+
+        Restoring started every target's log at the migration instant
+        with its own share of the state.  Target 0 instead carries the
+        merged old log plus one entry at the instant that takes the global
+        state down to its share; the other targets' entries add their
+        shares back, so the fold over all targets — what
+        ``as_relation()`` reports — is unchanged across the rescale.
+        """
+        log = self.query._merged_log()
+        if target._last_instant is not None:
+            correction = Counter(dict(target._state.items()))
+            for replica in self.query._replicas:
+                correction.subtract(dict(replica._state.items()))
+            correction = Counter(
+                {record: mult for record, mult in correction.items() if mult})
+            if correction:
+                log.append((target._last_instant, correction))
+        target._log = log
+        target._emissions = self.query.emissions()
 
     def _boundary_output(self, op: Any,
                          payload: Mapping[str, Any]) -> Counter:

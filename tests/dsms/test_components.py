@@ -1,5 +1,7 @@
 """Tests for the Figure 3 components and queues/scheduling/shedding."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import Bag, StateError
@@ -72,6 +74,58 @@ class TestStore:
         snapshot = store.current("q")
         snapshot.add("y")
         assert store.current("q") == Bag(["x"])
+
+
+    def test_restore_truncates_to_the_mark_and_puts_the_tail_back(self):
+        store = Store()
+        store.register("q")
+        store.write("q", Bag(["a"]), 1)
+        early = store.snapshot()
+        store.write("q", Bag(["b"]), 1)  # same-instant: replaces the tail
+        store.write("q", Bag(["c"]), 2)
+        late = store.snapshot()
+        store.restore(early)
+        assert list(store.history("q").snapshots()) == [(1, Bag(["a"]))]
+        assert store.current("q") == Bag(["a"])
+        # ``late`` marks history the restore just truncated away.
+        with pytest.raises(StateError, match="newer"):
+            store.restore(late)
+
+    def test_write_cost_does_not_grow_with_history(self, monkeypatch):
+        """A write copies the new state once and copies no list that
+        grows with the number of change points (counted in copies and
+        allocated bytes, not timed)."""
+        state = Bag(range(200))
+        stores = {}
+        for changes in (10, 20_000):
+            stores[changes] = store = Store()
+            store.register("q")
+            for t in range(changes):
+                store.write("q", Bag(), t)
+
+        def peak(fn):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            # Same-instant rewrites keep every list's length, so no
+            # append can reallocate and blur the count.
+            peaks = {changes: max(peak(lambda: store.write(
+                "q", state, changes - 1)) for _ in range(3))
+                for changes, store in stores.items()}
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[20_000] - peaks[10]) < 1_000
+
+        copies = []
+        original = Bag.copy
+        monkeypatch.setattr(
+            Bag, "copy", lambda bag: copies.append(bag) or original(bag))
+        stores[20_000].write("q", state, 20_000)
+        assert copies == [state]
 
 
 class TestScratch:
